@@ -88,6 +88,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *updRate < 0 || *updRate >= 1 {
 			return fmt.Errorf("-update-rate must be in [0, 1), got %g", *updRate)
 		}
+		if *updRate > 0 && server.NormalizeAlgorithm(*algo) != string(srj.BBST) {
+			return fmt.Errorf("-update-rate needs -algo %s: %s serves static draws only, only BBST datasets accept updates", srj.BBST, *algo)
+		}
 		cfg := serveConfig{
 			dataset:    *dataset,
 			n:          *base,
@@ -370,7 +373,7 @@ func runServeMixedLocal(ctx context.Context, stdout io.Writer, cfg serveConfig) 
 	fmt.Fprintf(stdout, "serve (mutable): algorithm=%s dataset=%s n=m=%d l=%g\n",
 		cfg.algo, cfg.dataset, cfg.n, cfg.l)
 	buildStart := time.Now()
-	store, err := srj.NewStore(R, S, cfg.l, &srj.StoreOptions{Algorithm: cfg.algo, Seed: cfg.seed})
+	store, err := srj.NewStore(R, S, cfg.l, &srj.StoreOptions{Seed: cfg.seed})
 	if err != nil {
 		return err
 	}
@@ -379,14 +382,14 @@ func runServeMixedLocal(ctx context.Context, stdout io.Writer, cfg serveConfig) 
 	if err := runMixed(ctx, stdout, cfg, store, store.Apply, 0); err != nil {
 		return err
 	}
-	// Let a threshold-triggered compaction finish so its cost lands
-	// inside the bench, not in a dangling goroutine.
+	// Let a background rebuild (the skew escape hatch) finish so its
+	// cost lands inside the bench, not in a dangling goroutine.
 	if err := store.Quiesce(ctx); err != nil {
 		return err
 	}
 	st := store.Stats()
-	fmt.Fprintf(stdout, "store: generation %d, %d ops pending compaction, avg draw latency %v\n",
-		store.Generation(), store.Pending(), st.AvgLatency().Round(time.Microsecond))
+	fmt.Fprintf(stdout, "store: generation %d, avg draw latency %v\n",
+		store.Generation(), st.AvgLatency().Round(time.Microsecond))
 	fmt.Fprintf(stdout, "write path: %d ops absorbed in place, %d base rebuilds\n",
 		store.InPlaceOps(), store.Rebuilds())
 	return nil

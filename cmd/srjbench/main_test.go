@@ -252,6 +252,20 @@ func TestServeModeErrors(t *testing.T) {
 	}
 }
 
+// TestServeModeMixedRefusesStaticAlgorithm: only BBST datasets accept
+// updates, so a mixed read/write bench on a static baseline fails on
+// its flags, before any dataset or store is built.
+func TestServeModeMixedRefusesStaticAlgorithm(t *testing.T) {
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-serve", "-update-rate", "0.5", "-algo", "kds", "-base", "2000", "-requests", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "kds") {
+		t.Fatalf("mixed bench on kds: %v, want a refusal naming the algorithm", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused bench printed output, so it started building:\n%s", out.String())
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-nope"}, &out); err == nil {

@@ -35,7 +35,7 @@ func startBackends(t *testing.T, n int) []string {
 // through the -admin CLI (probe + state transfer + swap), an old
 // backend is removed and killed — and the fleet converges: every
 // member reports the same last applied update ID, and draws reflect
-// every insert and tombstone, including from the backend that joined
+// every insert and delete, including from the backend that joined
 // after the updates it never saw broadcast.
 func TestLiveMembership(t *testing.T) {
 	const n = 400
@@ -154,7 +154,7 @@ func TestLiveMembership(t *testing.T) {
 	}
 
 	// Draws converge: through the router and direct from the late
-	// joiner, every insert is live and the tombstone holds. The direct
+	// joiner, every insert is live and the delete holds. The direct
 	// pair proves the transferred state serves, not just answers stats.
 	checkDraw := func(who string, src srj.Source) {
 		t.Helper()
@@ -165,7 +165,7 @@ func TestLiveMembership(t *testing.T) {
 		sawInsert := false
 		for _, p := range res.Pairs {
 			if p.R.ID == victim {
-				t.Fatalf("%s served tombstoned point %d", who, victim)
+				t.Fatalf("%s served deleted point %d", who, victim)
 			}
 			if p.R.ID == 4000 {
 				sawInsert = true

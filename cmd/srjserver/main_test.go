@@ -171,7 +171,7 @@ func startShard(t *testing.T, args []string) (string, func()) {
 // two-shard fleet behind a router takes inserts and deletes, one
 // shard is killed and restarted against its -data-dir, and the fleet
 // must come back indistinguishable — seeded draws against both shards
-// byte-identical, no tombstoned pair served, last applied update ID
+// byte-identical, no deleted pair served, last applied update ID
 // agreeing across the fleet.
 func TestKillAndRestartRecovery(t *testing.T) {
 	const n, dseed = 400, 5
@@ -201,8 +201,9 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	victim := srj.MustGenerate("uniform", n, dseed)[2].ID
 
 	// Three updates through the router (broadcast to both shards),
-	// kept far below the rebuild threshold so cross-shard generations
-	// — and with them seeded draws — stay comparable after recovery.
+	// kept far below the snapshot cadence so recovery replays them onto
+	// the same base build, and seeded draws stay comparable across
+	// shards after recovery.
 	bound := rt.Bind(key)
 	for i, u := range []srj.Update{
 		{InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}},
@@ -235,7 +236,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		sawInsert := false
 		for _, p := range res.Pairs {
 			if p.R.ID == victim {
-				t.Fatalf("shard %d served tombstoned point %d after restart", i, victim)
+				t.Fatalf("shard %d served deleted point %d after restart", i, victim)
 			}
 			if p.R.ID == 4000 {
 				sawInsert = true

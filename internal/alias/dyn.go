@@ -11,8 +11,8 @@ package alias
 //
 // internal/dynamic uses this for the per-point µ(r) weights of a
 // mutated store: repairing the weight of the handful of points an
-// update batch actually affects costs O(ops · log n) instead of the
-// O(n) re-count-and-rebuild the delta overlay used to pay. A freshly
+// update batch actually affects costs O(ops · log n) instead of an
+// O(n) re-count-and-rebuild. A freshly
 // built (or freshly compacted) store still serves through the Walker
 // table — its O(1) draws and RNG stream are part of the byte-identity
 // contract with the bulk engine — and is "unfrozen" into a Weights

@@ -63,9 +63,6 @@ func NewGridKD(R, S []geom.Point, cfg Config) (*GridKD, error) {
 // Next draws one uniform independent join sample.
 func (s *GridKD) Next() (geom.Pair, error) { return s.next(s) }
 
-// TryNext runs one sampling trial (the Trial contract).
-func (s *GridKD) TryNext() (geom.Pair, bool, error) { return s.tryNext(s) }
-
 // Sample draws t samples via Next.
 func (s *GridKD) Sample(t int) ([]geom.Pair, error) { return sampleN(s, s.base, t) }
 
@@ -85,5 +82,4 @@ func (s *GridKD) Clone() (Sampler, error) {
 var (
 	_ Sampler = (*GridKD)(nil)
 	_ Cloner  = (*GridKD)(nil)
-	_ Trial   = (*GridKD)(nil)
 )

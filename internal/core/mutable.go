@@ -35,12 +35,14 @@ package core
 // per-direction counts are recomputed per trial instead of being
 // cached in a per-point alias.Small: the index version is immutable,
 // so they sum to exactly the stored µ(r) and every live pair is
-// returned by one trial with probability exactly 1/Σµ — the Trial
-// contract the delta overlay mixes on.
+// returned by one trial with probability exactly 1/Σµ, as in the
+// frozen samplers.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/alias"
 	"repro/internal/bbst"
@@ -295,7 +297,8 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 	for _, pt := range ops.InsR {
 		mu := nx.muOf(pt, &sc)
 		var slot int32
-		if nx.freeHead >= 0 {
+		reused := nx.freeHead >= 0
+		if reused {
 			slot = nx.freeHead
 			nx.freeHead = nx.slots.Get(int(slot)).ID
 			nx.nFree--
@@ -314,7 +317,7 @@ func (ix *MutableIndex) ApplyOps(ops MutOps) (*MutableIndex, error) {
 			}
 			nx.weights = w
 		}
-		nx.addToRCell(grid.KeyFor(pt.X, pt.Y, nx.side), slot)
+		nx.addToRCell(grid.KeyFor(pt.X, pt.Y, nx.side), slot, reused)
 		old, _ := nx.rids.Get(idKey(pt.ID))
 		nx.rids = nx.rids.With(idKey(pt.ID), append(old[:len(old):len(old)], slot))
 		nx.rCount++
@@ -435,14 +438,21 @@ func (nx *MutableIndex) dropFromRCell(k grid.Key) error {
 	return nil
 }
 
-// addToRCell appends one live slot to cell k's reverse list. The
-// append may extend the backing array shared with published versions,
-// which is safe: their rlist value caps their view of it, ApplyOps
-// runs single-writer, and readers never touch rcells — only ApplyOps
-// and test invariants (both serialized) do.
-func (nx *MutableIndex) addToRCell(k grid.Key, slot int32) {
+// addToRCell lists one live slot in cell k's reverse list. A reused
+// slot may still be listed there from before its delete (deletes leave
+// their entries behind); it then turns valid again in place rather
+// than being listed twice, which would make every µ recompute of the
+// cell visit it twice and let the list outgrow its re-filter bound
+// under churn that keeps moving points within one cell. The append
+// may extend the backing array shared with published versions, which
+// is safe: their rlist value caps their view of it, ApplyOps runs
+// single-writer, and readers never touch rcells — only ApplyOps and
+// test invariants (both serialized) do.
+func (nx *MutableIndex) addToRCell(k grid.Key, slot int32, reused bool) {
 	rl, _ := nx.rcells.Get(k)
-	rl.slots = append(rl.slots, slot)
+	if !reused || !slices.Contains(rl.slots, slot) {
+		rl.slots = append(rl.slots, slot)
+	}
 	rl.live++
 	if len(rl.slots) > 2*int(rl.live) {
 		rl.slots = nx.filterRList(k, rl.slots)
@@ -502,8 +512,8 @@ func (ix *MutableIndex) SizeBytes() int {
 }
 
 // Mutable is a sampling handle over one MutableIndex version: the
-// core.Trial / core.Cloner / core.Reseeder implementation the dynamic
-// store serves through. Handles are cheap; Apply returns a new handle
+// core.Cloner / core.Reseeder implementation the dynamic store serves
+// through. Handles are cheap; Apply returns a new handle
 // over the new version.
 type Mutable struct {
 	idx        *MutableIndex
@@ -521,11 +531,16 @@ type Mutable struct {
 // persistent weight tree, and the reverse indexes are built in one
 // pass. This is the one O(n + m) step of the mutable path; every
 // ApplyOps after it is Õ(ops).
+//
+// A provably empty join (an empty side included) unfreezes too: Count
+// fails with ErrEmptyJoin only after the grid, the corner pairs, and
+// the all-zero µ vector are built, so the index starts with no mass
+// and gains it through ApplyOps.
 func (s *BBSTSampler) Unfreeze() (*Mutable, error) {
 	if s.cfg.WithoutReplacement {
 		return nil, ErrNoParallelWithoutReplacement
 	}
-	if err := ensure(s, s.base, phaseCounted); err != nil {
+	if err := ensure(s, s.base, phaseCounted); err != nil && !errors.Is(err, ErrEmptyJoin) {
 		return nil, err
 	}
 	bcap := s.cfg.BucketCap
@@ -615,10 +630,12 @@ func (m *Mutable) Build() error { return nil }
 // Count is a no-op: µ is maintained incrementally.
 func (m *Mutable) Count() error { return nil }
 
-// TryNext runs one sampling trial: slot ∝ µ(r), direction by a
+// tryNext runs one sampling trial: slot ∝ µ(r), direction by a
 // cumulative scan of the per-direction counts, uniform slot within the
-// direction, accept iff the candidate lies in w(r).
-func (m *Mutable) TryNext() (geom.Pair, bool, error) {
+// direction, accept iff the candidate lies in w(r). The error is
+// ErrEmptyJoin on an index with no mass; a rejected trial is not an
+// error.
+func (m *Mutable) tryNext() (geom.Pair, bool, error) {
 	ix := m.idx
 	if ix.weights == nil || ix.weights.Total() <= 0 {
 		return geom.Pair{}, false, ErrEmptyJoin
@@ -663,7 +680,7 @@ func (m *Mutable) Next() (geom.Pair, error) {
 	var err error
 	timed(&m.stats.SampleTime, func() {
 		for attempt := 0; attempt < m.maxRejects; attempt++ {
-			p, ok, terr := m.TryNext()
+			p, ok, terr := m.tryNext()
 			if terr != nil {
 				err = terr
 				return
@@ -744,7 +761,6 @@ func (ix *MutableIndex) HasS(id int32) bool { _, ok := ix.sids.Get(idKey(id)); r
 var (
 	_ Sampler  = (*Mutable)(nil)
 	_ Cloner   = (*Mutable)(nil)
-	_ Trial    = (*Mutable)(nil)
 	_ Reseeder = (*Mutable)(nil)
 )
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/join"
 	"repro/internal/rng"
 )
@@ -315,8 +316,8 @@ func TestMutableDrainAndRefill(t *testing.T) {
 	if m.Stats().MuSum != 0 {
 		t.Fatalf("MuSum %g after draining R", m.Stats().MuSum)
 	}
-	if _, _, err := m.TryNext(); !errors.Is(err, ErrEmptyJoin) {
-		t.Fatalf("TryNext on drained index: %v", err)
+	if _, err := m.Next(); !errors.Is(err, ErrEmptyJoin) {
+		t.Fatalf("Next on drained index: %v", err)
 	}
 	// Refill: slots must be reused, not appended.
 	before := m.Index().slots.Len()
@@ -442,4 +443,93 @@ func TestPvecBasics(t *testing.T) {
 	// Bulk build agrees with append-built.
 	bulk := newPvec(oracle)
 	check(bulk, oracle)
+}
+
+// TestUnfreezeEmptyJoin: a sampler whose join is provably empty — far
+// apart sides, or an empty side — still unfreezes, into an index with
+// no mass that gains it through ApplyOps.
+func TestUnfreezeEmptyJoin(t *testing.T) {
+	r := rng.New(11)
+	l := 5.0
+	cases := map[string][2][]geom.Point{
+		"disjoint": {randomPoints(r, 40, 50, 0), shift(randomPoints(r, 40, 50, 10000), 1000)},
+		"empty":    {nil, nil},
+	}
+	for name, sides := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewBBST(sides[0], sides[1], Config{HalfExtent: l, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Count(); !errors.Is(err, ErrEmptyJoin) {
+				t.Fatalf("Count = %v, want ErrEmptyJoin", err)
+			}
+			m, err := s.Unfreeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Stats().MuSum != 0 {
+				t.Fatalf("MuSum %g on an empty join", m.Stats().MuSum)
+			}
+			if err := m.Index().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Next(); !errors.Is(err, ErrEmptyJoin) {
+				t.Fatalf("Next on an empty join: %v", err)
+			}
+			ins := MutOps{
+				InsR: []geom.Point{{ID: 70000, X: 1, Y: 1}},
+				InsS: []geom.Point{{ID: 80000, X: 2, Y: 3}},
+			}
+			if m, err = m.Apply(ins); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Index().CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.Next()
+			if err != nil {
+				t.Fatalf("draw after inserts: %v", err)
+			}
+			if !geom.Window(p.R, l).Contains(p.S) {
+				t.Fatalf("drew %v outside the window", p)
+			}
+		})
+	}
+}
+
+// TestMutableSameCellSlotReuse moves one R point around inside a
+// single cell, batch after batch: each delete frees the slot the next
+// insert reuses, in the cell whose reverse list still holds the slot's
+// old entry. The slot must be listed once, not once per move.
+func TestMutableSameCellSlotReuse(t *testing.T) {
+	r := rng.New(12)
+	l := 50.0
+	R := randomPoints(r, 20, 40, 0)
+	S := randomPoints(r, 20, 40, 10000)
+	m := mustUnfreeze(t, R, S, Config{HalfExtent: l, Seed: 2})
+	id := R[0].ID
+	for i := 0; i < 50; i++ {
+		pt := geom.Point{ID: id, X: r.Range(0, 40), Y: r.Range(0, 40)}
+		var err error
+		if m, err = m.Apply(MutOps{DelR: []int32{id}, InsR: []geom.Point{pt}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Index().CheckInvariants(); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+	}
+	rl, _ := m.Index().rcells.Get(grid.KeyFor(R[1].X, R[1].Y, l))
+	if len(rl.slots) > 2*int(rl.live) {
+		t.Fatalf("reverse list holds %d entries for %d live slots", len(rl.slots), rl.live)
+	}
+}
+
+// shift offsets every point by d on both axes.
+func shift(pts []geom.Point, d float64) []geom.Point {
+	for i := range pts {
+		pts[i].X += d
+		pts[i].Y += d
+	}
+	return pts
 }

@@ -1,39 +1,29 @@
-// Package dynamic makes the paper's bulk-built join samplers mutable.
-// The structures of "Random Sampling over Spatial Range Joins" are
-// built once over immutable R and S; a serving system also needs
-// insert and delete. This package lands that two ways:
-//
-//   - In-place maintenance (the default when the base supports it):
-//     a base implementing Unfreezer — the BBST pipeline — is converted
-//     once into a core.Mutable, and every Apply after that edits the
-//     live structures copy-on-write along the touched path only, in
-//     Õ(ops) per batch. There are no insert buffers, no tombstones,
-//     and no threshold: steady churn never rebuilds. A bulk rebuild
-//     happens only on explicit Compact, or in the background when the
-//     live S count drifts so far from what the bucket capacity was
-//     sized for that the corner bounds would rot the acceptance rate
-//     (core.Mutable.NeedsRebase, the pathological-skew escape hatch).
-//
-//   - The delta overlay (bases without Unfreeze, or DisableInPlace):
-//     the Store holds the bulk-built *base* sampler plus per-side
-//     insert buffers and delete tombstones, samples uniformly from the
-//     live join through a weighted mixture over {base, delta}
-//     components (see overlay.go for the uniformity argument), and —
-//     when the delta fraction crosses a threshold — rebuilds the base
-//     in a background goroutine and swaps it in atomically.
-//
-// Either way every applied batch bumps the store's *generation
-// number*.
+// Package dynamic makes the paper's BBST join sampler mutable. The
+// structures of "Random Sampling over Spatial Range Joins" are built
+// once over immutable R and S; a serving system also needs insert and
+// delete. A Store serves its bulk-built base frozen until the first
+// Apply, which converts it once into a core.Mutable (Unfreeze); every
+// Apply after that edits the live structures copy-on-write along the
+// touched path only, in Õ(ops) per batch. There are no insert buffers,
+// no tombstones, and no threshold: steady churn never rebuilds. A bulk
+// rebuild happens only on explicit Compact, or in the background when
+// the live S count drifts so far from what the bucket capacity was
+// sized for that the corner bounds would rot the acceptance rate
+// (core.Mutable.NeedsRebase, the pathological-skew escape hatch).
+// Updates applied while a rebuild builds are folded into the new base
+// with ApplyOps before it swaps in, so a rebuild never leaves the
+// in-place path. A store whose join is empty (an empty store
+// included) starts from an unfrozen index with no mass.
 //
 // Generations are the invalidation currency of the serving stack:
-// every applied batch bumps the store's generation, registry keys
-// carry one (internal/registry), so engines cached for an older
-// generation simply miss instead of serving deleted points, and the
-// shard router broadcasts updates so every backend's stores and
-// caches advance together.
+// every applied batch and every rebuild swap bumps the store's
+// generation, registry keys carry one (internal/registry), so engines
+// cached for an older generation simply miss instead of serving
+// deleted points, and the shard router broadcasts updates so every
+// backend's stores and caches advance together.
 //
 // Concurrency model: Draw/DrawFunc never block on writers — they load
-// an immutable *view* (base + deltas + per-view serving engine)
+// an immutable *view* (one index version plus its serving engine)
 // through an atomic pointer and draw from it. Apply and the rebuild
 // swap serialize on one mutex and publish whole new views; requests
 // in flight on an old view finish against the structures they
@@ -46,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,14 +46,10 @@ import (
 	"repro/internal/geom"
 )
 
-// DefaultRebuildFraction is the delta fraction past which a
-// background base rebuild is triggered: buffered inserts plus
-// tombstones may reach this fraction of the base point count before
-// the Store compacts them into a fresh bulk build.
-const DefaultRebuildFraction = 0.25
-
-// defaultMaxRejects mirrors core.Config's rejection budget.
-const defaultMaxRejects = 1 << 24
+// snapshotFraction sets the in-place path's snapshot cadence: a
+// background snapshot starts once the write-ahead records since the
+// last one reach this fraction of the live point count.
+const snapshotFraction = 0.25
 
 // ErrStaleGeneration reports a request for a generation the store has
 // already moved past. The registry's BuildFunc returns it when a
@@ -73,10 +60,9 @@ var ErrStaleGeneration = errors.New("dynamic: generation is stale")
 
 // Update is one batch of mutations: points to insert and point IDs to
 // delete, per side. Deleting an ID removes every live point carrying
-// it on that side — buffered inserts are dropped, base points are
-// tombstoned; an ID present nowhere is a no-op. Re-inserting a
-// deleted ID is allowed: the tombstone keeps the base copy dead and
-// the new point lives in the insert buffer.
+// it on that side; an ID present nowhere is a no-op. Deletes apply
+// before inserts, so a batch may delete an ID and insert its
+// replacement, and re-inserting a deleted ID later is allowed.
 type Update struct {
 	InsertR []geom.Point `json:"insert_r,omitempty"`
 	InsertS []geom.Point `json:"insert_s,omitempty"`
@@ -115,38 +101,21 @@ func validFinite(pts []geom.Point, side string) error {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BuildBase bulk-builds the base sampler over the given point
-	// sets (the algorithm choice lives in this closure; the root
-	// package supplies srj.NewSampler). The returned sampler must
-	// implement core.Trial — BBST, KDS, GridKD, RTS, and JoinSample
-	// all do. Required.
-	BuildBase func(R, S []geom.Point) (core.Cloner, error)
-	// HalfExtent is the window half-extent l, shared by the base and
-	// the delta components. Must be positive and finite.
-	HalfExtent float64
-	// Seed drives the per-view serving pools and the delta samplers;
-	// equal seeds make equal-seeded draws reproducible within one
-	// generation.
+	// BuildBase bulk-builds the BBST base over the given point sets
+	// (the window half-extent and the sampler tuning live in this
+	// closure; the root package supplies core.NewBBST). The store
+	// prepares the result through Count. Required.
+	BuildBase func(R, S []geom.Point) (*core.BBSTSampler, error)
+	// Seed drives the per-view serving pools; equal seeds make
+	// equal-seeded draws reproducible within one generation.
 	Seed uint64
-	// MaxRejects bounds consecutive rejected mixture trials per
-	// sample (0 = the core default). Tombstones consume acceptance,
-	// so a store far past its rebuild threshold degrades toward
-	// ErrLowAcceptance instead of returning deleted points.
-	MaxRejects int
 	// MaxT caps the samples one request may ask for on every view
 	// engine (0 = unlimited).
 	MaxT int
-	// RebuildFraction is the delta fraction that triggers a
-	// background base rebuild (<= 0 means DefaultRebuildFraction).
-	RebuildFraction float64
-	// DisableAutoRebuild suppresses threshold-triggered rebuilds and
-	// the in-place path's skew escape hatch; Compact still rebuilds on
-	// demand. Tests use it to pin the current structures.
+	// DisableAutoRebuild suppresses the skew escape hatch's background
+	// rebuilds; Compact still rebuilds on demand. Tests use it to pin
+	// the current structures.
 	DisableAutoRebuild bool
-	// DisableInPlace forces the delta-overlay path even when the base
-	// sampler supports in-place maintenance (Unfreezer). Tests use it
-	// to pin the overlay path; operators can use it as an escape hatch.
-	DisableInPlace bool
 	// OnGeneration, when non-nil, is invoked with the new generation
 	// after every view swap — Applies AND background rebuild swaps,
 	// which bump the generation with no Apply in sight. The serving
@@ -156,9 +125,6 @@ type Config struct {
 	// under the store's write lock: keep it fast and do not call back
 	// into the store.
 	OnGeneration func(gen uint64)
-	// Name labels the store's samplers in engine stats (default
-	// "dynamic").
-	Name string
 	// Persister, when non-nil, is the write-ahead durability hook (see
 	// persist.go): every applied batch is appended before its view
 	// publishes, and rebuild swaps persist a base snapshot. May also be
@@ -175,56 +141,51 @@ type Config struct {
 	InitialLastApplied uint64
 }
 
-func (c Config) rebuildFraction() float64 {
-	if c.RebuildFraction > 0 {
-		return c.RebuildFraction
-	}
-	return DefaultRebuildFraction
-}
-
-func (c Config) maxRejects() int {
-	if c.MaxRejects > 0 {
-		return c.MaxRejects
-	}
-	return defaultMaxRejects
-}
-
-// view is one immutable snapshot of the store: the base structures,
-// the deltas applied on top, and the serving engine over their
-// mixture. Draws load it atomically; writers replace it wholesale.
+// view is one immutable snapshot of the store: one version of the
+// index and the serving engine over it. Draws load it atomically;
+// writers replace it wholesale.
 type view struct {
 	gen uint64
 	// lastID is the last sequenced update ID folded into this view —
-	// what a snapshot of this view's materialized base covers.
+	// what a snapshot of its live points covers.
 	lastID uint64
 
-	baseR, baseS     []geom.Point
-	baseIDR, baseIDS map[int32]struct{}
-	base             core.Cloner // prepared through Count; nil when the base join is empty
-	baseMass         float64     // the base sampler's Σµ
-	baseSize         int         // full footprint of the base structures (or the mutable index version)
-	baseOwned        bool        // this view bulk-built its base (vs sharing the previous view's)
-	donorS           *core.KDS   // lazily-indexed donor over baseS for the ib component
+	// Exactly one of base and mut is set. base is a frozen bulk build
+	// (prepared through Count) over R and S; mut is a version of the
+	// in-place maintained index, which IS the current dataset.
+	base *core.BBSTSampler
+	R, S []geom.Point
+	mut  *core.Mutable
 
-	// mut, when non-nil, is the in-place maintained index line: this
-	// view's version of the incrementally-updated structures. Mutable
-	// views carry no insert buffers, no tombstones, and none of the
-	// base fields above — the index IS the current dataset.
-	mut *core.Mutable
+	// size is the footprint of the view's structures; owned reports
+	// that this view built them (a bulk build) rather than deriving
+	// them copy-on-write from the previous view's.
+	size  int
+	owned bool
 
-	insR, insS []geom.Point
-	delR, delS map[int32]struct{}
-
-	eng         *engine.Engine // nil when the current join is empty
-	overlaySize int
+	eng *engine.Engine // nil when the current join is empty
 
 	estMu sync.Mutex
-	est   core.Sampler // overlay clone for join-size estimation
+	est   core.Sampler // sampler clone for join-size estimation
 }
 
-// deltaOps counts the buffered mutations the view carries.
-func (v *view) deltaOps() int {
-	return len(v.insR) + len(v.insS) + len(v.delR) + len(v.delS)
+// mass is the view's Σµ: the total trial weight the join-size
+// estimate scales the acceptance rate by.
+func (v *view) mass() float64 {
+	if v.mut != nil {
+		return v.mut.Stats().MuSum
+	}
+	return v.base.Stats().MuSum
+}
+
+// points returns the view's live point sets: the build input of a
+// frozen base (shared — never mutated), or a fresh materialization of
+// a mutable version.
+func (v *view) points() (R, S []geom.Point) {
+	if v.mut != nil {
+		return v.mut.LivePoints()
+	}
+	return v.R, v.S
 }
 
 // Store is a mutable join-sampling dataset: the Source-serving front
@@ -235,7 +196,7 @@ type Store struct {
 	view atomic.Pointer[view]
 
 	mu             sync.Mutex
-	log            []Update // updates absorbed since the current base was built
+	log            []Update // updates applied while a rebuild is in flight
 	lastApplied    uint64   // last sequenced update ID (persist.go)
 	gap            map[uint64]*gapWaiter
 	rebuilding     bool
@@ -245,9 +206,8 @@ type Store struct {
 
 	// snapPending counts write-ahead records applied since the last
 	// snapshot, and snapshotting guards the one in-flight background
-	// snapshot. The overlay path snapshots as a side effect of its
-	// threshold rebuilds; the in-place path retires those, so it prunes
-	// the log on this cadence instead (maybeSnapshotLocked).
+	// snapshot: steady churn runs no rebuilds, so the log is pruned on
+	// this cadence instead (maybeSnapshotLocked).
 	snapPending  int
 	snapshotting bool
 	snapDone     chan struct{}
@@ -258,10 +218,10 @@ type Store struct {
 	// backs srj_store_rebuilds_total and never decreases.
 	rebuilds atomic.Uint64
 
-	// inplace counts operations absorbed by in-place index maintenance
-	// (no buffering, no rebuild). It backs srj_store_inplace_ops_total
-	// and the /v1/stats inplace_ops field; in steady churn it grows
-	// while rebuilds stays flat.
+	// inplace counts operations absorbed by in-place index maintenance.
+	// It backs srj_store_inplace_ops_total and the /v1/stats
+	// inplace_ops field; in steady churn it grows while rebuilds stays
+	// flat.
 	inplace atomic.Uint64
 
 	// persistErrs counts snapshot failures. lastPersistErr holds only
@@ -274,22 +234,20 @@ type Store struct {
 	// immediately after every view swap — the in-lock invariant hook
 	// of the race hammer.
 	testHookSwap func(*view)
+	// testHookBuilt, when set (by tests, before starting a rebuild),
+	// runs in the rebuild goroutine right after the bulk build, outside
+	// mu — where a test lands the writes the swap must fold in.
+	testHookBuilt func()
 }
 
 // NewStore bulk-builds the base over R and S and returns a store
 // serving them at generation 0. The slices are not copied and must
 // not be mutated afterwards (Apply never touches them — mutations
-// live in the store's own buffers). Empty sides are allowed: a store
-// may start empty and be filled through Apply.
+// edit the store's own index). Empty sides are allowed: a store may
+// start empty and be filled through Apply.
 func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	if cfg.BuildBase == nil {
 		return nil, fmt.Errorf("dynamic: Config.BuildBase is required")
-	}
-	if !(cfg.HalfExtent > 0) || math.IsInf(cfg.HalfExtent, 0) {
-		return nil, fmt.Errorf("dynamic: half extent must be positive and finite, got %g", cfg.HalfExtent)
-	}
-	if cfg.Name == "" {
-		cfg.Name = "dynamic"
 	}
 	if err := validFinite(R, "R"); err != nil {
 		return nil, err
@@ -298,18 +256,11 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, lastApplied: cfg.InitialLastApplied}
-	v := &view{
-		gen:       cfg.InitialGeneration,
-		lastID:    cfg.InitialLastApplied,
-		baseR:     R,
-		baseS:     S,
-		baseIDR:   idSet(R),
-		baseIDS:   idSet(S),
-		baseOwned: true,
-	}
-	if err := st.buildBaseInto(v); err != nil {
+	v, err := st.buildView(R, S)
+	if err != nil {
 		return nil, err
 	}
+	v.gen, v.lastID = cfg.InitialGeneration, cfg.InitialLastApplied
 	if err := st.finishView(v); err != nil {
 		return nil, err
 	}
@@ -317,94 +268,38 @@ func NewStore(R, S []geom.Point, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// idSet collects the IDs of one side.
-func idSet(pts []geom.Point) map[int32]struct{} {
-	out := make(map[int32]struct{}, len(pts))
-	for _, p := range pts {
-		out[p.ID] = struct{}{}
-	}
-	return out
-}
-
-// deltaCfg is the configuration of the delta samplers.
-func (st *Store) deltaCfg() core.Config {
-	return core.Config{
-		HalfExtent: st.cfg.HalfExtent,
-		Seed:       st.cfg.Seed,
-		MaxRejects: st.cfg.MaxRejects,
-	}
-}
-
-// buildBaseInto bulk-builds the base sampler for the view's base
-// sides and prepares it through Count. An empty base join (including
-// an empty side) leaves v.base nil — not an error for a mutable
-// store, which may become non-empty through Apply.
-func (st *Store) buildBaseInto(v *view) error {
-	v.base, v.baseMass = nil, 0
-	v.donorS = nil
-	if len(v.baseS) > 0 {
-		// The donor's kd-tree over baseS is built lazily, on the first
-		// applied batch that inserts R points; until then it costs a
-		// struct.
-		donor, err := core.NewKDS(nil, v.baseS, st.deltaCfg())
-		if err != nil {
-			return err
-		}
-		v.donorS = donor
-	}
-	if len(v.baseR) == 0 || len(v.baseS) == 0 {
-		return nil
-	}
-	base, err := st.cfg.BuildBase(v.baseR, v.baseS)
+// buildView bulk-builds the base over R and S and prepares it through
+// Count. A provably empty join (an empty side included) has nothing to
+// serve frozen, so it is unfrozen at once: the index starts with no
+// mass and fills through Apply, and the skew hatch rebuilds it once it
+// has grown.
+func (st *Store) buildView(R, S []geom.Point) (*view, error) {
+	base, err := st.cfg.BuildBase(R, S)
 	if err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
+		return nil, err
+	}
+	err = base.Count()
+	if errors.Is(err, core.ErrEmptyJoin) {
+		m, err := base.Unfreeze()
+		if err != nil {
+			return nil, err
 		}
-		return err
+		return &view{mut: m, size: m.SizeBytes(), owned: true}, nil
 	}
-	if _, ok := base.(core.Trial); !ok {
-		return fmt.Errorf("dynamic: %s does not support per-trial sampling (core.Trial)", base.Name())
+	if err != nil {
+		return nil, err
 	}
-	if err := base.Count(); err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
-		}
-		return err
-	}
-	v.base = base
-	v.baseMass = base.Stats().MuSum
-	v.baseSize = base.SizeBytes()
-	return nil
-}
-
-// Unfreezer is implemented by base samplers whose frozen structures
-// convert into a core.Mutable for in-place maintenance (the BBST
-// pipeline). Bases without it stay on the delta-overlay path.
-type Unfreezer interface {
-	Unfreeze() (*core.Mutable, error)
+	return &view{base: base, R: R, S: S, size: base.SizeBytes(), owned: true}, nil
 }
 
 // mutableTipLocked resolves the in-place handle the next apply should
-// extend: the current view's, or a fresh unfreeze when this is the
-// first apply onto a bulk-built base that supports it. Returns nil
-// when the store is (or must stay) on the overlay path. Called with
-// mu held — Unfreeze is the one O(n + m) step of the in-place line.
-func (st *Store) mutableTipLocked(v *view) *core.Mutable {
+// extend: the current view's, or a fresh unfreeze of a frozen base —
+// the one O(n + m) step of the in-place line. Called with mu held.
+func (st *Store) mutableTipLocked(v *view) (*core.Mutable, error) {
 	if v.mut != nil {
-		return v.mut
+		return v.mut, nil
 	}
-	if st.cfg.DisableInPlace || v.base == nil || v.deltaOps() != 0 {
-		return nil
-	}
-	uf, ok := v.base.(Unfreezer)
-	if !ok {
-		return nil
-	}
-	m, err := uf.Unfreeze()
-	if err != nil {
-		return nil // this base line cannot go mutable; the overlay path serves it
-	}
-	return m
+	return v.base.Unfreeze()
 }
 
 // mutOps converts an Update into the core batch type. Slices are
@@ -413,148 +308,54 @@ func mutOps(u Update) core.MutOps {
 	return core.MutOps{InsR: u.InsertR, InsS: u.InsertS, DelR: u.DeleteR, DelS: u.DeleteS}
 }
 
-// buildComponents assembles the view's mixture components in a fixed
-// order — base, base×insS, insR×base, insR×insS — so replicas built
-// from the same op sequence are byte-identical. A mutable view is a
-// single component over its index version.
+// finishView builds the view's serving engine. An empty current join
+// leaves v.eng nil; Draw answers core.ErrEmptyJoin until an Apply
+// makes the join non-empty again.
 //
-// Component size charging: each component's size field is what the
-// view's engine reports to the registry budget. The base structures
-// are shared by every view stacked on one bulk build, so only the
-// owning view (the one that built them) charges them; derived views
-// charge their deltas alone. The same applies to mutable versions,
-// which share almost all structure copy-on-write with the bulk build
-// they were unfrozen from. Store.SizeBytes adds the shared base back
-// exactly once.
-func (st *Store) buildComponents(v *view) ([]component, error) {
-	if v.mut != nil {
-		mc, err := v.mut.Clone()
-		if err != nil {
-			return nil, err
-		}
-		size := 0
-		if v.baseOwned {
-			size = v.baseSize
-		}
-		return []component{{
-			trial:  mc.(core.Trial),
-			shared: &componentShared{mass: v.mut.Stats().MuSum, size: size},
-		}}, nil
-	}
-	dcfg := st.deltaCfg()
-	var comps []component
-	addKDS := func(k *core.KDS, rejR, rejS map[int32]struct{}) error {
-		err := k.Count()
-		if errors.Is(err, core.ErrEmptyJoin) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		comps = append(comps, component{
-			trial:  k,
-			shared: &componentShared{mass: k.Stats().MuSum, size: k.SizeBytes(), rejR: rejR, rejS: rejS},
-		})
-		return nil
-	}
-	if v.base != nil {
-		// Each view gets its own clone of the base as its mixture
-		// component: consecutive views share v.base, and a view's
-		// clone pool advances its parent's stream on every pooled
-		// clone — two views cloning one shared parent would race.
-		// Cloning here happens under st.mu (every view is built there),
-		// so the shared original is only ever cloned serialized.
-		bb, err := v.base.Clone()
-		if err != nil {
-			return nil, err
-		}
-		trial, ok := bb.(core.Trial)
-		if !ok {
-			return nil, fmt.Errorf("dynamic: %s clone does not support trials", v.base.Name())
-		}
-		size := 0
-		if v.baseOwned {
-			size = v.baseSize
-		}
-		comps = append(comps, component{
-			trial: trial,
-			shared: &componentShared{
-				mass: v.baseMass,
-				size: size,
-				rejR: nilIfEmpty(v.delR),
-				rejS: nilIfEmpty(v.delS),
-			},
-		})
-	}
-	if len(v.baseR) > 0 && len(v.insS) > 0 {
-		k, err := core.NewKDS(v.baseR, v.insS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nilIfEmpty(v.delR), nil); err != nil {
-			return nil, err
-		}
-	}
-	if len(v.insR) > 0 && v.donorS != nil {
-		k, err := core.NewKDSWith(v.insR, v.donorS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nil, nilIfEmpty(v.delS)); err != nil {
-			return nil, err
-		}
-	}
-	if len(v.insR) > 0 && len(v.insS) > 0 {
-		k, err := core.NewKDS(v.insR, v.insS, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addKDS(k, nil, nil); err != nil {
-			return nil, err
-		}
-	}
-	return comps, nil
-}
-
-func nilIfEmpty(m map[int32]struct{}) map[int32]struct{} {
-	if len(m) == 0 {
-		return nil
-	}
-	return m
-}
-
-// finishView builds the view's mixture and serving engine. An empty
-// current join leaves v.eng nil; Draw answers core.ErrEmptyJoin until
-// an Apply makes the join non-empty again.
+// The engine serves a clone of the view's structures: consecutive
+// views share one base or index version, and a clone pool advances
+// its parent's stream on every pooled clone — two views pooling one
+// shared parent would race. Views are built under st.mu, so the
+// shared original is only ever cloned serialized.
+//
+// Size charging: the engine reports the view's structures to the
+// registry budget only when this view built them. Derived views share
+// almost all structure copy-on-write with the build they descend from
+// and charge nothing, so a registry holding engines for consecutive
+// generations counts the shared base once; Store.SizeBytes reports
+// the whole footprint.
 func (st *Store) finishView(v *view) error {
-	comps, err := st.buildComponents(v)
+	if v.mass() <= 0 {
+		v.eng, v.est = nil, nil
+		return nil
+	}
+	var c core.Sampler
+	var err error
+	if v.mut != nil {
+		c, err = v.mut.Clone()
+	} else {
+		c, err = v.base.Clone()
+	}
 	if err != nil {
 		return err
 	}
-	o, err := newOverlay(st.cfg.Name, st.cfg.maxRejects(), st.cfg.Seed, comps)
-	if err != nil {
-		if errors.Is(err, core.ErrEmptyJoin) {
-			v.eng = nil
-			v.est = nil
-			v.overlaySize = 0
-			return nil
-		}
-		return err
-	}
-	est, err := o.Clone()
+	parent := c.(core.Cloner)
+	est, err := parent.Clone()
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(o, st.cfg.Seed)
+	charge := 0
+	if v.owned {
+		charge = v.size
+	}
+	eng, err := engine.NewShared(parent, st.cfg.Seed, charge)
 	if err != nil {
 		return err
 	}
 	if st.cfg.MaxT > 0 {
 		eng.SetMaxT(st.cfg.MaxT)
 	}
-	v.eng = eng
-	v.est = est
-	v.overlaySize = o.SizeBytes()
+	v.eng, v.est = eng, est
 	return nil
 }
 
@@ -562,52 +363,14 @@ func (st *Store) finishView(v *view) error {
 // generation. Batches serialize; draws in flight keep serving the
 // view they started on. An empty update returns the current
 // generation without bumping it (the remote tiers use this as a
-// generation probe). Crossing the rebuild threshold schedules a
-// background base rebuild; Apply itself stays O(base count) in the
-// worst case (delta re-counting), never a bulk build.
+// generation probe). The batch edits the index in place in Õ(ops);
+// only the first Apply onto a frozen base pays the O(n + m) unfreeze.
 //
 // Apply self-stamps the next update ID — it is ApplyAt(ctx, 0, u),
 // the single-writer spelling of the sequenced path in persist.go.
 func (st *Store) Apply(ctx context.Context, u Update) (uint64, error) {
 	res, err := st.ApplyAt(ctx, 0, u)
 	return res.Generation, err
-}
-
-// applyOps derives one side's new insert buffer and tombstone set
-// (copy-on-write: the previous view's are never mutated). Deletes
-// drop every buffered copy of the ID and tombstone the base copy when
-// one exists; inserts append. The removals are collected into a set
-// first and the buffer filtered in one pass, so the cost is
-// O(|buffer| + |batch|), not O(|buffer| · |deletes|).
-func applyOps(ins []geom.Point, del, baseIDs map[int32]struct{}, add []geom.Point, remove []int32) ([]geom.Point, map[int32]struct{}) {
-	nDel := del
-	var rm map[int32]struct{}
-	copied := false
-	for _, id := range remove {
-		if rm == nil {
-			rm = make(map[int32]struct{}, len(remove))
-		}
-		rm[id] = struct{}{}
-		if _, inBase := baseIDs[id]; inBase {
-			if !copied {
-				m := make(map[int32]struct{}, len(nDel)+len(remove))
-				for k := range nDel {
-					m[k] = struct{}{}
-				}
-				nDel = m
-				copied = true
-			}
-			nDel[id] = struct{}{}
-		}
-	}
-	nIns := make([]geom.Point, 0, len(ins)+len(add))
-	for _, p := range ins {
-		if _, dead := rm[p.ID]; !dead {
-			nIns = append(nIns, p)
-		}
-	}
-	nIns = append(nIns, add...)
-	return nIns, nDel
 }
 
 // swapLocked publishes a new view, folding the retired engine's
@@ -641,26 +404,10 @@ func addStats(a, b engine.Stats) engine.Stats {
 	return a
 }
 
-// maybeRebuildLocked schedules a background base rebuild: on the
-// overlay path when the delta fraction crosses the threshold, on the
-// in-place path only when the skew escape hatch trips. Called with mu
-// held.
+// maybeRebuildLocked schedules a background base rebuild when the skew
+// escape hatch trips. Called with mu held.
 func (st *Store) maybeRebuildLocked(v *view) {
-	if st.rebuilding || st.cfg.DisableAutoRebuild {
-		return
-	}
-	if v.mut != nil {
-		if v.mut.NeedsRebase() {
-			st.startRebuildLocked(v)
-		}
-		return
-	}
-	delta := v.deltaOps()
-	if delta == 0 {
-		return
-	}
-	baseN := len(v.baseR) + len(v.baseS)
-	if float64(delta) < st.cfg.rebuildFraction()*float64(baseN) {
+	if st.rebuilding || st.cfg.DisableAutoRebuild || v.mut == nil || !v.mut.NeedsRebase() {
 		return
 	}
 	st.startRebuildLocked(v)
@@ -679,49 +426,46 @@ func (st *Store) startRebuildLocked(v *view) {
 	go st.rebuild(v, st.rebuildDone)
 }
 
-// rebuild is the background compaction: materialize the current point
-// sets from the snapshot view (the live sets of a mutable version, or
-// base minus tombstones plus inserts on the overlay path), bulk-build
-// a fresh base outside the lock, then — under the lock — replay the
-// updates that arrived while building into fresh deltas over the new
-// base and swap the result in at a bumped generation. The swapped-in
-// view is frozen either way; a store on the in-place path unfreezes
-// again on its next apply.
-func (st *Store) rebuild(v *view, done chan struct{}) {
+// rebuild is the background compaction: bulk-build a fresh base over
+// the source view's live points outside the lock, then swap it in at
+// a bumped generation. Updates applied while it was building sit in
+// the log; when there are any, the new base is unfrozen — also outside
+// the lock, since Unfreeze is O(n + m) — and the log is folded into it
+// with ApplyOps under the lock, so the swapped-in view carries every
+// acknowledged update and stays on the in-place path. A rebuild no
+// write raced swaps in frozen; the next apply unfreezes it.
+func (st *Store) rebuild(src *view, done chan struct{}) {
 	defer close(done)
-	var R, S []geom.Point
-	if v.mut != nil {
-		R, S = v.mut.LivePoints()
-	} else {
-		R = materialize(v.baseR, v.delR, v.insR)
-		S = materialize(v.baseS, v.delS, v.insS)
+	R, S := src.points()
+	nv, err := st.buildView(R, S) // the expensive bulk build, outside mu
+	if st.testHookBuilt != nil {
+		st.testHookBuilt()
 	}
-	nv := &view{
-		baseR:     R,
-		baseS:     S,
-		baseIDR:   idSet(R),
-		baseIDS:   idSet(S),
-		baseOwned: true,
-	}
-	buildErr := st.buildBaseInto(nv) // the expensive bulk build, outside mu
 
 	st.mu.Lock()
+	if err == nil && nv.mut == nil && len(st.log) > 0 {
+		st.mu.Unlock()
+		var m *core.Mutable
+		if m, err = nv.base.Unfreeze(); err == nil {
+			nv = &view{mut: m, owned: true}
+		}
+		st.mu.Lock()
+	}
 	st.rebuilding = false
 	pending := st.log
 	st.log = nil
-	if buildErr != nil {
-		st.lastRebuildErr = buildErr
-		st.mu.Unlock()
-		return
+	for i := 0; err == nil && i < len(pending); i++ {
+		nv.mut, err = nv.mut.Apply(mutOps(pending[i]))
 	}
-	cur := st.view.Load()
-	nv.gen = cur.gen + 1
-	nv.lastID = cur.lastID
-	for _, u := range pending {
-		nv.insR, nv.delR = applyOps(nv.insR, nv.delR, nv.baseIDR, u.InsertR, u.DeleteR)
-		nv.insS, nv.delS = applyOps(nv.insS, nv.delS, nv.baseIDS, u.InsertS, u.DeleteS)
+	if err == nil {
+		cur := st.view.Load()
+		nv.gen, nv.lastID = cur.gen+1, cur.lastID
+		if nv.mut != nil {
+			nv.size = nv.mut.SizeBytes()
+		}
+		err = st.finishView(nv)
 	}
-	if err := st.finishView(nv); err != nil {
+	if err != nil {
 		st.lastRebuildErr = err
 		st.mu.Unlock()
 		return
@@ -729,8 +473,8 @@ func (st *Store) rebuild(v *view, done chan struct{}) {
 	st.lastRebuildErr = nil
 	st.rebuilds.Add(1)
 	st.swapLocked(nv)
-	// The pending tail can itself exceed the threshold under heavy
-	// write load; check once so compaction keeps up.
+	// The folded tail can itself trip the skew hatch under heavy write
+	// load; check once so compaction keeps up.
 	st.maybeRebuildLocked(nv)
 	p := st.cfg.Persister
 	st.mu.Unlock()
@@ -738,10 +482,10 @@ func (st *Store) rebuild(v *view, done chan struct{}) {
 		return
 	}
 	// Persist the compacted base outside the lock. The snapshot covers
-	// the *source view's* lastID, not the swap-time one: the pending
-	// tail replayed above is still in the log (pruning stops at
-	// v.lastID), so a crash right here replays it onto this base.
-	err := p.Snapshot(nv.gen, v.lastID, R, S)
+	// the *source view's* lastID, not the swap-time one: the folded
+	// tail is still in the write-ahead log (pruning stops at
+	// src.lastID), so a crash right here replays it onto this base.
+	err = p.Snapshot(nv.gen, src.lastID, R, S)
 	if err != nil {
 		st.persistErrs.Add(1)
 	}
@@ -751,18 +495,17 @@ func (st *Store) rebuild(v *view, done chan struct{}) {
 }
 
 // maybeSnapshotLocked schedules a background snapshot of a mutable
-// view once the write-ahead records since the last snapshot reach the
-// rebuild fraction of the live point count — the cadence the retired
-// threshold rebuild used to provide. Without it the in-place path
-// would never prune the log: steady churn runs no rebuilds, and the
-// rebuild swap was the only snapshot trigger. Called with mu held.
+// view once the write-ahead records since the last snapshot reach
+// snapshotFraction of the live point count. Without it the log would
+// never be pruned: steady churn runs no rebuilds, and a rebuild swap
+// is the only other snapshot trigger. Called with mu held.
 func (st *Store) maybeSnapshotLocked(v *view) {
 	p := st.cfg.Persister
 	if p == nil || v.mut == nil || st.snapshotting || st.rebuilding {
 		return
 	}
 	ix := v.mut.Index()
-	if float64(st.snapPending) < st.cfg.rebuildFraction()*float64(ix.NumR()+ix.NumS()) {
+	if float64(st.snapPending) < snapshotFraction*float64(ix.NumR()+ix.NumS()) {
 		return
 	}
 	st.snapPending = 0
@@ -791,28 +534,16 @@ func (st *Store) snapshot(v *view, p Persister) {
 	st.mu.Unlock()
 }
 
-// materialize flattens one side: base minus tombstones plus inserts.
-func materialize(base []geom.Point, del map[int32]struct{}, ins []geom.Point) []geom.Point {
-	out := make([]geom.Point, 0, len(base)+len(ins))
-	for _, p := range base {
-		if _, dead := del[p.ID]; !dead {
-			out = append(out, p)
-		}
-	}
-	return append(out, ins...)
-}
-
-// Compact forces a base rebuild now — folding every buffered insert
-// and tombstone, or the whole in-place maintained state, into a fresh
-// bulk build — and waits for the swap. A rebuild already in flight is
-// waited for instead of doubled. It returns nil when there is nothing
-// to compact: no buffered deltas and no in-place changes since the
-// last bulk build.
+// Compact forces a base rebuild now — folding the whole in-place
+// maintained state into a fresh bulk build — and waits for the swap.
+// A rebuild already in flight is waited for instead of doubled. It
+// returns nil with nothing to do when the current view is a frozen
+// bulk build.
 func (st *Store) Compact(ctx context.Context) error {
 	st.mu.Lock()
 	if !st.rebuilding {
 		v := st.view.Load()
-		if v.deltaOps() == 0 && v.mut == nil {
+		if v.mut == nil {
 			st.mu.Unlock()
 			return nil
 		}
@@ -911,26 +642,15 @@ func (st *Store) Stats() engine.Stats {
 	return acc
 }
 
-// SizeBytes estimates the retained footprint of the current view:
-// mixture structures, point buffers, and tombstone sets. The view
-// engine (overlaySize) charges the shared base only on the view that
-// bulk-built it, so derived views add it back here exactly once —
-// resident structures are never counted twice. During a rebuild the
-// transient next base is not counted.
+// SizeBytes estimates the retained footprint of the current view: its
+// index structures — charged here whether or not the view built them,
+// so resident structures are counted exactly once — plus the point
+// slices a frozen base was built over. During a rebuild the transient
+// next base is not counted.
 func (st *Store) SizeBytes() int {
 	v := st.view.Load()
-	total := v.overlaySize
-	if !v.baseOwned {
-		total += v.baseSize
-	}
-	total += 24 * (len(v.baseR) + len(v.baseS) + len(v.insR) + len(v.insS))
-	total += 16 * (len(v.delR) + len(v.delS))
-	return total
+	return v.size + 24*(len(v.R)+len(v.S))
 }
-
-// Pending reports the buffered mutation count of the current view —
-// the numerator of the rebuild threshold.
-func (st *Store) Pending() int { return st.view.Load().deltaOps() }
 
 // Rebuilds reports how many base rebuilds have swapped in since the
 // store was created.
@@ -941,27 +661,8 @@ func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 func (st *Store) InPlaceOps() uint64 { return st.inplace.Load() }
 
 // InPlace reports whether the current view is served by the in-place
-// maintained index (vs the delta overlay or a freshly bulk-built
-// base).
+// maintained index (vs a frozen bulk-built base).
 func (st *Store) InPlace() bool { return st.view.Load().mut != nil }
-
-// DeltaFraction reports buffered mutations relative to the current
-// base size — the rebuild threshold's own ratio, exported as the
-// srj_store_delta_fraction gauge. An empty base with pending ops
-// reports 1. A view on the in-place path buffers nothing, so it
-// reports 0 regardless of how many operations it has absorbed.
-func (st *Store) DeltaFraction() float64 {
-	v := st.view.Load()
-	delta := v.deltaOps()
-	if delta == 0 {
-		return 0
-	}
-	baseN := len(v.baseR) + len(v.baseS)
-	if baseN == 0 {
-		return 1
-	}
-	return float64(delta) / float64(baseN)
-}
 
 // LastRebuildErr reports the most recent background rebuild failure
 // (nil after a successful swap). Rebuild failures never tear down
@@ -974,10 +675,9 @@ func (st *Store) LastRebuildErr() error {
 
 // EstimateJoinSize draws `samples` calibration samples through the
 // current view's estimator clone and returns the acceptance-rate
-// estimate of the live join size (exact-counting components make it
-// exact up to the base algorithm's bound). The estimator accumulates
-// across calls, so repeated estimates tighten. An empty join
-// estimates 0 with no error.
+// estimate of the live join size. The estimator accumulates across
+// calls, so repeated estimates tighten. An empty join estimates 0
+// with no error.
 func (st *Store) EstimateJoinSize(samples int) (float64, error) {
 	v := st.view.Load()
 	if v.eng == nil || v.est == nil {
@@ -996,7 +696,9 @@ func (st *Store) EstimateJoinSize(samples int) (float64, error) {
 		n, err = core.SampleInto(v.est, chunk)
 		drawn += n
 	}
-	return aggregate.JoinSizeEstimate(v.est.Stats()), err
+	stats := v.est.Stats()
+	stats.MuSum = v.mass()
+	return aggregate.JoinSizeEstimate(stats), err
 }
 
 // PersistErrors reports how many snapshot attempts have failed since
@@ -1009,18 +711,17 @@ func (st *Store) PersistErrors() uint64 { return st.persistErrs.Load() }
 // own them. This is the donor half of router state transfer: a store
 // constructed from (R, S) at (gen, lastID) and fed the sequenced
 // updates after lastID converges on this store's *logical* state —
-// the same live points, tombstones, and sequence position. Byte-level
-// draw identity is a stronger property that holds only between stores
+// the same live points and sequence position. Byte-level draw
+// identity is a stronger property that holds only between stores
 // sharing the same build history (base build plus the same in-place
 // applies in the same order); a store bulk-built from a flattened
 // dump serves correct draws, not necessarily this store's draws.
 func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
 	v := st.view.Load()
-	if v.mut != nil {
-		R, S = v.mut.LivePoints()
-	} else {
-		R = materialize(v.baseR, v.delR, v.insR)
-		S = materialize(v.baseS, v.delS, v.insS)
+	R, S = v.points()
+	if v.mut == nil {
+		// A frozen view's sets are shared with its base.
+		R, S = slices.Clone(R), slices.Clone(S)
 	}
 	return v.gen, v.lastID, R, S
 }
@@ -1030,13 +731,12 @@ func (st *Store) Dump() (gen, lastID uint64, R, S []geom.Point) {
 // path's bound on recovery time. Faithful means recovery from the
 // snapshot reproduces the exact sampler a live peer at the same
 // generation carries, which holds only when the current view is a
-// pure compacted base (no overlay deltas, no in-place history):
-// snapshotting a mid-history view would flatten its incremental
-// state into a fresh bulk build, and seeded draws after recovery
-// would fork from fleet peers at the same generation. Mid-history
-// stores succeed as a no-op — the write-ahead log already holds
-// every record past the last faithful snapshot, and replay rebuilds
-// the identical incremental history. In-flight background
+// frozen bulk build: snapshotting an in-place view would flatten its
+// incremental history into a fresh bulk build, and seeded draws after
+// recovery would fork from fleet peers at the same generation.
+// In-place stores succeed as a no-op — the write-ahead log already
+// holds every record past the last faithful snapshot, and replay
+// rebuilds the identical incremental history. In-flight background
 // persistence is waited out first, so a snapshot the cadence already
 // started is on disk before shutdown returns. A store without a
 // persister succeeds as a no-op.
@@ -1051,10 +751,10 @@ func (st *Store) SnapshotNow(ctx context.Context) error {
 		return err
 	}
 	v := st.view.Load()
-	if v.mut != nil || v.deltaOps() > 0 {
+	if v.mut != nil {
 		return nil
 	}
-	err := p.Snapshot(v.gen, v.lastID, v.baseR, v.baseS)
+	err := p.Snapshot(v.gen, v.lastID, v.R, v.S)
 	if err != nil {
 		st.persistErrs.Add(1)
 	}

@@ -7,9 +7,9 @@ package dynamic
 // preserve across every interleaving:
 //
 //	a swapped-in view never serves a deleted point: every ID deleted
-//	  and never re-inserted is either absent from the view's base or
-//	  tombstoned in it (a rebuild racing an Apply must not lose the
-//	  delete), and draws never return it
+//	  and never re-inserted is absent from the view's index or frozen
+//	  base (a rebuild racing an Apply must fold the delete in, not
+//	  lose it), and draws never return it
 //	generations only move forward
 //	a view handed to a request stays usable however many swaps,
 //	  rebuilds, or registry evictions race it
@@ -32,15 +32,16 @@ import (
 )
 
 func TestStoreConcurrentApplyDrawEvictRebuild(t *testing.T) {
-	inBothModes(t, testStoreConcurrentApplyDrawEvictRebuild)
+	t.Run("inplace", func(t *testing.T) { testStoreConcurrentApplyDrawEvictRebuild(t, false) })
+	// compacting runs a compactor beside the appliers, so rebuilds
+	// constantly race writes and fold them in at the swap.
+	t.Run("compacting", func(t *testing.T) { testStoreConcurrentApplyDrawEvictRebuild(t, true) })
 }
 
-func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) Config) {
+func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, compacting bool) {
 	R, S := testData(t)
 	l := 1500.0
-	cfg := tweak(testConfig(l, 21))
-	cfg.RebuildFraction = 0.02 // overlay mode: rebuild constantly under the hammer
-	st, err := NewStore(R, S, cfg)
+	st, err := NewStore(R, S, testConfig(l, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,32 +91,17 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 			}
 			return
 		}
-		for id := range v.delR {
-			if _, ok := v.baseIDR[id]; !ok {
-				fail("gen %d: R tombstone %d points at no base point", v.gen, id)
+		// A frozen base (a rebuild no write raced) was bulk-built over
+		// its source view's live points: no poisoned ID may be among
+		// them.
+		for _, p := range v.R {
+			if poisonR[p.ID] {
+				fail("gen %d: poisoned R point %d in a swapped-in base", v.gen, p.ID)
 			}
 		}
-		for id := range v.delS {
-			if _, ok := v.baseIDS[id]; !ok {
-				fail("gen %d: S tombstone %d points at no base point", v.gen, id)
-			}
-		}
-		// The core safety property: a swapped-in base never serves a
-		// poisoned point — it is either gone from the base or
-		// tombstoned in it, even when the swap is a rebuild that raced
-		// the deleting Apply.
-		for id := range poisonR {
-			if _, inBase := v.baseIDR[id]; inBase {
-				if _, dead := v.delR[id]; !dead {
-					fail("gen %d: poisoned R point %d live in a swapped-in base", v.gen, id)
-				}
-			}
-		}
-		for id := range poisonS {
-			if _, inBase := v.baseIDS[id]; inBase {
-				if _, dead := v.delS[id]; !dead {
-					fail("gen %d: poisoned S point %d live in a swapped-in base", v.gen, id)
-				}
+		for _, p := range v.S {
+			if poisonS[p.ID] {
+				fail("gen %d: poisoned S point %d in a swapped-in base", v.gen, p.ID)
 			}
 		}
 	}
@@ -146,7 +132,7 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 		rounds   = 40
 	)
 	var wg sync.WaitGroup
-	errs := make([]error, appliers+drawers+1)
+	errs := make([]error, appliers+drawers+2)
 
 	// Appliers: insert points with per-worker ID ranges, then delete a
 	// slice of their own inserts. They never touch poison, so the
@@ -229,6 +215,19 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 		}(w)
 	}
 
+	if compacting {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := st.Compact(ctx); err != nil {
+					errs[appliers+drawers+1] = fmt.Errorf("compact %d: %w", i, err)
+					return
+				}
+			}
+		}()
+	}
+
 	// Evictor: hammer Evict and EvictOlder across recent generations.
 	wg.Add(1)
 	go func() {
@@ -288,7 +287,7 @@ func testStoreConcurrentApplyDrawEvictRebuild(t *testing.T, tweak func(Config) C
 	checkSupport(t, drawAll(t, st, 6000), jset)
 
 	// Compact once more and re-verify: the final base absorbs every
-	// surviving delta with nothing lost.
+	// surviving update with nothing lost.
 	if err := st.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -17,25 +16,59 @@ import (
 // testConfig returns a BBST-backed store config over half-extent l.
 func testConfig(l float64, seed uint64) Config {
 	return Config{
-		BuildBase: func(R, S []geom.Point) (core.Cloner, error) {
+		BuildBase: func(R, S []geom.Point) (*core.BBSTSampler, error) {
 			return core.NewBBST(R, S, core.Config{HalfExtent: l, Seed: seed})
 		},
-		HalfExtent: l,
-		Seed:       seed,
+		Seed: seed,
 	}
 }
 
-// inBothModes runs fn once on the in-place maintenance path and once
-// with the delta-overlay path pinned, so path-agnostic store
-// properties (uniformity, determinism, estimation) are asserted on
-// both write paths.
-func inBothModes(t *testing.T, fn func(t *testing.T, tweak func(Config) Config)) {
+// applyFunc applies one update to a store, by one of the two routes an
+// update can take into the index.
+type applyFunc func(t *testing.T, st *Store, u Update)
+
+// inBothModes runs fn once with updates applied directly to the
+// in-place index and once with each update landing while a background
+// rebuild is building, so the rebuild's swap has to fold it into the
+// fresh base — path-agnostic store properties (uniformity,
+// determinism, estimation, size accounting) are asserted on both
+// routes.
+func inBothModes(t *testing.T, fn func(t *testing.T, apply applyFunc)) {
 	t.Run("inplace", func(t *testing.T) {
-		fn(t, func(c Config) Config { return c })
+		fn(t, func(t *testing.T, st *Store, u Update) {
+			t.Helper()
+			if _, err := st.Apply(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
-	t.Run("overlay", func(t *testing.T) {
-		fn(t, func(c Config) Config { c.DisableInPlace = true; return c })
-	})
+	t.Run("folded", func(t *testing.T) { fn(t, foldDuringRebuild) })
+}
+
+// foldDuringRebuild applies u while a background rebuild of st's
+// current view is building, and waits for the rebuild's swap, which
+// must fold u into the new base.
+func foldDuringRebuild(t *testing.T, st *Store, u Update) {
+	t.Helper()
+	ctx := context.Background()
+	var applyErr error
+	st.testHookBuilt = func() { _, applyErr = st.Apply(ctx, u) }
+	st.mu.Lock()
+	st.startRebuildLocked(st.view.Load())
+	st.mu.Unlock()
+	if err := st.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st.testHookBuilt = nil
+	if applyErr != nil {
+		t.Fatal(applyErr)
+	}
+	if err := st.LastRebuildErr(); err != nil {
+		t.Fatal(err)
+	}
+	if v := st.view.Load(); v.mut == nil || !v.owned {
+		t.Fatal("rebuild raced by an Apply did not swap in an owned in-place view")
+	}
 }
 
 // testData generates the unit-test point sets: small enough to brute
@@ -166,25 +199,24 @@ func TestStoreAppliesAndGenerations(t *testing.T) {
 	if g := st.Generation(); g != 3 {
 		t.Fatalf("post-compact generation %d, want 3", g)
 	}
-	if n := st.Pending(); n != 0 {
-		t.Fatalf("post-compact pending ops %d", n)
+	if st.InPlace() {
+		t.Fatal("post-compact view is in place, want a frozen base")
 	}
 	checkSupport(t, drawAll(t, st, 4000), jset)
 }
 
 // TestStoreUniformityAfterUpdates: sampling must stay uniform over
 // the live join after mutations — chi-square against the brute-force
-// join of the current point sets, on both write paths (in-place index
-// maintenance and the delta-overlay mixture), with rebuilds pinned
-// off.
+// join of the current point sets, on both update routes, with the
+// skew hatch pinned off.
 func TestStoreUniformityAfterUpdates(t *testing.T) {
 	inBothModes(t, testStoreUniformityAfterUpdates)
 }
 
-func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
+func testStoreUniformityAfterUpdates(t *testing.T, apply applyFunc) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := tweak(testConfig(l, 3))
+	cfg := testConfig(l, 3)
 	cfg.DisableAutoRebuild = true
 	st, err := NewStore(R, S, cfg)
 	if err != nil {
@@ -195,28 +227,26 @@ func testStoreUniformityAfterUpdates(t *testing.T, tweak func(Config) Config) {
 		DeleteR: []int32{R[0].ID, R[9].ID, R[17].ID},
 		DeleteS: []int32{S[4].ID, S[31].ID},
 	}
-	// Clustered inserts so the delta components carry real mass.
+	// Clustered inserts so the inserted points carry real mass.
 	for i := 0; i < 10; i++ {
 		u.InsertR = append(u.InsertR, geom.Point{ID: int32(700 + i), X: S[i].X + 20, Y: S[i].Y - 20})
 		u.InsertS = append(u.InsertS, geom.Point{ID: int32(800 + i), X: R[i+20].X - 15, Y: R[i+20].Y + 15})
 	}
-	if _, err := st.Apply(context.Background(), u); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, st, u)
 	model.apply(u)
 	jset := joinSet(model.R, model.S, l)
 	if len(jset) < 50 {
 		t.Fatalf("test setup: |J| = %d too small for a chi-square", len(jset))
 	}
-	// The deltas must actually participate: some join pair touches an
+	// The inserts must actually participate: some join pair touches an
 	// inserted point.
-	deltaPairs := 0
+	insertedPairs := 0
 	for k := range jset {
 		if k[0] >= 700 || k[1] >= 800 {
-			deltaPairs++
+			insertedPairs++
 		}
 	}
-	if deltaPairs == 0 {
+	if insertedPairs == 0 {
 		t.Fatal("test setup: no join pair touches an inserted point")
 	}
 
@@ -256,11 +286,11 @@ func TestStoreDeterminismWithinGeneration(t *testing.T) {
 	inBothModes(t, testStoreDeterminismWithinGeneration)
 }
 
-func testStoreDeterminismWithinGeneration(t *testing.T, tweak func(Config) Config) {
+func testStoreDeterminismWithinGeneration(t *testing.T, apply applyFunc) {
 	R, S := testData(t)
 	l := 1000.0
 	mk := func() *Store {
-		cfg := tweak(testConfig(l, 5))
+		cfg := testConfig(l, 5)
 		cfg.DisableAutoRebuild = true
 		st, err := NewStore(R, S, cfg)
 		if err != nil {
@@ -275,12 +305,8 @@ func testStoreDeterminismWithinGeneration(t *testing.T, tweak func(Config) Confi
 		DeleteR: []int32{R[1].ID},
 	}
 	ctx := context.Background()
-	if _, err := a.Apply(ctx, u); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Apply(ctx, u); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, a, u)
+	apply(t, b, u)
 	p1, err := a.Draw(ctx, engine.Request{T: 1500, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +335,9 @@ func testStoreDeterminismWithinGeneration(t *testing.T, tweak func(Config) Confi
 
 // TestStoreEmptyLifecycle: a store may start empty, answer
 // ErrEmptyJoin (after request validation), become non-empty through
-// Apply, and empty again through deletes.
+// Apply — absorbed in place from the first insert — and empty again
+// through deletes. A store whose sides are non-empty but whose join is
+// empty behaves the same way.
 func TestStoreEmptyLifecycle(t *testing.T) {
 	l := 100.0
 	cfg := testConfig(l, 1)
@@ -337,6 +365,12 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if _, err := st.Apply(ctx, u); err != nil {
 		t.Fatal(err)
 	}
+	if !st.InPlace() {
+		t.Error("InPlace = false after the first insert into an empty store")
+	}
+	if got := st.InPlaceOps(); got != uint64(u.Ops()) {
+		t.Errorf("InPlaceOps = %d after the first insert, want %d", got, u.Ops())
+	}
 	res, err := st.Draw(ctx, engine.Request{T: 10})
 	if err != nil || len(res.Pairs) != 10 {
 		t.Fatalf("draw after insert: %d pairs, %v", len(res.Pairs), err)
@@ -352,63 +386,49 @@ func TestStoreEmptyLifecycle(t *testing.T) {
 	if _, err := st.Draw(ctx, engine.Request{T: 5}); !errors.Is(err, core.ErrEmptyJoin) {
 		t.Fatalf("re-emptied store draw: %v, want ErrEmptyJoin", err)
 	}
-}
 
-// TestStoreAutoRebuild: on the overlay path (pinned via
-// DisableInPlace — a BBST base would otherwise absorb the ops in
-// place and never rebuild), crossing the delta threshold triggers the
-// background rebuild, which bumps the generation, folds the deltas
-// into the base, and keeps serving the same join.
-func TestStoreAutoRebuild(t *testing.T) {
-	R, S := testData(t)
-	l := 1000.0
-	cfg := testConfig(l, 9)
-	cfg.DisableInPlace = true
-	cfg.RebuildFraction = 0.05 // 120 base points: 6+ ops trigger
-	var hookGens []uint64
-	var hookMu sync.Mutex
-	cfg.OnGeneration = func(gen uint64) {
-		hookMu.Lock()
-		hookGens = append(hookGens, gen)
-		hookMu.Unlock()
-	}
-	st, err := NewStore(R, S, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := &currentSets{R: R, S: S}
-	u := Update{DeleteR: []int32{R[0].ID, R[1].ID, R[2].ID, R[3].ID}}
-	for i := 0; i < 8; i++ {
-		u.InsertS = append(u.InsertS, geom.Point{ID: int32(850 + i), X: R[30+i].X, Y: R[30+i].Y})
-	}
-	ctx := context.Background()
-	gen, err := st.Apply(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model.apply(u)
-	if err := st.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if rerr := st.LastRebuildErr(); rerr != nil {
-		t.Fatal(rerr)
-	}
-	if g := st.Generation(); g != gen+1 {
-		t.Fatalf("generation %d after rebuild, want %d", g, gen+1)
-	}
-	if n := st.Pending(); n != 0 {
-		t.Fatalf("pending ops %d after rebuild", n)
-	}
-	// The invalidation hook fired for the Apply AND for the rebuild
-	// swap nobody's handler observed — that second call is what keeps
-	// a rebuild from stranding a stale cached engine.
-	hookMu.Lock()
-	gens := append([]uint64(nil), hookGens...)
-	hookMu.Unlock()
-	if len(gens) != 2 || gens[0] != gen || gens[1] != gen+1 {
-		t.Fatalf("OnGeneration calls = %v, want [%d %d]", gens, gen, gen+1)
-	}
-	checkSupport(t, drawAll(t, st, 4000), joinSet(model.R, model.S, l))
+	t.Run("empty_join", func(t *testing.T) {
+		// R and S clusters far apart: both sides are non-empty, the
+		// join is empty.
+		var R, S []geom.Point
+		for i := 0; i < 20; i++ {
+			R = append(R, geom.Point{ID: int32(i), X: float64(i * 7), Y: float64(i * 3)})
+			S = append(S, geom.Point{ID: int32(100 + i), X: 50_000 + float64(i*5), Y: 50_000 - float64(i*2)})
+		}
+		st, err := NewStore(R, S, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Draw(ctx, engine.Request{T: 5}); !errors.Is(err, core.ErrEmptyJoin) {
+			t.Fatalf("empty-join store draw: %v, want ErrEmptyJoin", err)
+		}
+		model := &currentSets{R: R, S: S}
+		u := Update{
+			InsertR: []geom.Point{{ID: 500, X: S[3].X + 10, Y: S[3].Y - 10}, {ID: 501, X: S[8].X, Y: S[8].Y + 20}},
+			InsertS: []geom.Point{{ID: 600, X: R[5].X - 5, Y: R[5].Y + 5}},
+			DeleteS: []int32{S[8].ID},
+		}
+		if _, err := st.Apply(ctx, u); err != nil {
+			t.Fatal(err)
+		}
+		model.apply(u)
+		if !st.InPlace() {
+			t.Error("InPlace = false after inserting into an empty-join store")
+		}
+		jset := joinSet(model.R, model.S, l)
+		if len(jset) < 2 {
+			t.Fatalf("test setup: |J| = %d after inserts, want >= 2", len(jset))
+		}
+		pairs := drawAll(t, st, 1000)
+		checkSupport(t, pairs, jset)
+		seen := map[[2]int32]bool{}
+		for _, p := range pairs {
+			seen[[2]int32{p.R.ID, p.S.ID}] = true
+		}
+		if len(seen) != len(jset) {
+			t.Errorf("drew %d distinct pairs of the %d live ones", len(seen), len(jset))
+		}
+	})
 }
 
 // TestStoreEstimateJoinSize: the acceptance-rate estimator tracks the
@@ -417,10 +437,10 @@ func TestStoreEstimateJoinSize(t *testing.T) {
 	inBothModes(t, testStoreEstimateJoinSize)
 }
 
-func testStoreEstimateJoinSize(t *testing.T, tweak func(Config) Config) {
+func testStoreEstimateJoinSize(t *testing.T, apply applyFunc) {
 	R, S := testData(t)
 	l := 1000.0
-	cfg := tweak(testConfig(l, 13))
+	cfg := testConfig(l, 13)
 	cfg.DisableAutoRebuild = true
 	st, err := NewStore(R, S, cfg)
 	if err != nil {
@@ -430,9 +450,7 @@ func testStoreEstimateJoinSize(t *testing.T, tweak func(Config) Config) {
 	for i := 0; i < 6; i++ {
 		u.InsertS = append(u.InsertS, geom.Point{ID: int32(860 + i), X: R[10+i].X, Y: R[10+i].Y})
 	}
-	if _, err := st.Apply(context.Background(), u); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, st, u)
 	model := &currentSets{R: R, S: S}
 	model.apply(u)
 	exact := float64(len(joinSet(model.R, model.S, l)))

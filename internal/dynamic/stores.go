@@ -163,15 +163,13 @@ type StoreInfo struct {
 	Key registry.Key `json:"key"`
 	// Backend is empty on a server's own stats; the router fills it
 	// when aggregating fleet stats per backend.
-	Backend       string       `json:"backend,omitempty"`
-	Generation    uint64       `json:"generation"`
-	DeltaFraction float64      `json:"delta_fraction"`
-	PendingOps    int          `json:"pending_ops"`
-	Rebuilds      uint64       `json:"rebuilds"`
-	InPlaceOps    uint64       `json:"inplace_ops"`
-	InPlace       bool         `json:"inplace,omitempty"`
-	SizeBytes     int          `json:"size_bytes"`
-	Engine        engine.Stats `json:"engine"`
+	Backend    string       `json:"backend,omitempty"`
+	Generation uint64       `json:"generation"`
+	Rebuilds   uint64       `json:"rebuilds"`
+	InPlaceOps uint64       `json:"inplace_ops"`
+	InPlace    bool         `json:"inplace,omitempty"`
+	SizeBytes  int          `json:"size_bytes"`
+	Engine     engine.Stats `json:"engine"`
 
 	// Durability surface (persist.go / internal/wal). LastAppliedID is
 	// meaningful on every store; the WAL fields stay zero when the
@@ -255,8 +253,6 @@ func (s *Stores) Infos() []StoreInfo {
 		info := StoreInfo{
 			Key:           ks.key,
 			Generation:    st.Generation(),
-			DeltaFraction: st.DeltaFraction(),
-			PendingOps:    st.Pending(),
 			Rebuilds:      st.Rebuilds(),
 			InPlaceOps:    st.InPlaceOps(),
 			InPlace:       st.InPlace(),

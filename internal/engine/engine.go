@@ -219,6 +219,19 @@ func New(parent core.Cloner, seed uint64) (*Engine, error) {
 	return e, nil
 }
 
+// NewShared is New for an engine over structures that other engines
+// share: it reports size as its footprint instead of
+// parent.SizeBytes(), so a registry summing the sizes of resident
+// engines counts the shared structures once.
+func NewShared(parent core.Cloner, seed uint64, size int) (*Engine, error) {
+	e, err := New(parent, seed)
+	if err != nil {
+		return nil, err
+	}
+	e.size = size
+	return e, nil
+}
+
 // Name identifies the underlying algorithm.
 func (e *Engine) Name() string { return e.name }
 

@@ -75,10 +75,8 @@ const (
 	// MetricStoreGeneration is the highest current generation across
 	// the process's dynamic stores (per-store detail carries dataset
 	// names and lives in /v1/stats instead).
-	MetricStoreGeneration    = "srj_store_generation"
-	MetricStoreDeltaFraction = "srj_store_delta_fraction"
-	MetricStorePendingOps    = "srj_store_pending_ops"
-	MetricStoreRebuilds      = "srj_store_rebuilds_total"
+	MetricStoreGeneration = "srj_store_generation"
+	MetricStoreRebuilds   = "srj_store_rebuilds_total"
 	// MetricStoreInPlaceOps counts operations absorbed by in-place
 	// index maintenance. In steady churn it grows while
 	// srj_store_rebuilds_total stays flat — the two together are the

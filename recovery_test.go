@@ -75,7 +75,7 @@ func TestServerRecoversFromLogReplay(t *testing.T) {
 
 	cl, stop := openRecoverable(t, dir, R, S)
 	bound := cl.Bind(key)
-	// Three acknowledged updates, kept far below the rebuild threshold
+	// Three acknowledged updates, kept far below the snapshot cadence
 	// so recovery exercises pure log replay (no snapshot exists yet).
 	if _, err := bound.Apply(ctx, srj.Update{
 		InsertR: []srj.Point{{ID: 4000, X: 9000, Y: 9000}},
@@ -134,9 +134,10 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 
 	cl, stop := openRecoverable(t, dir, R, S)
 	bound := cl.Bind(key)
-	// Push the delta fraction past the rebuild threshold (0.25 of 120
-	// base points) so the background compaction snapshots: delete the
-	// first 20 R points and insert a far-away cluster.
+	// Push the write-ahead records past the snapshot cadence (a quarter
+	// of the ~120 live points) so the store snapshots in the
+	// background: delete the first 20 R points and insert a far-away
+	// cluster.
 	var n uint64
 	for i := 0; i < 20; i++ {
 		if _, err := bound.Apply(ctx, srj.Update{DeleteR: []int32{R[i].ID}}); err != nil {
@@ -153,8 +154,8 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 		}
 		n++
 	}
-	// The rebuild (and with it the snapshot) runs in the background;
-	// wait for the persister to report one.
+	// The snapshot runs in the background; wait for the persister to
+	// report one.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		stats, err := cl.Stats(ctx)
@@ -171,7 +172,7 @@ func TestServerRecoversFromSnapshot(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared within 10s of crossing the rebuild threshold")
+			t.Fatal("no snapshot appeared within 10s of crossing the snapshot cadence")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

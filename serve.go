@@ -210,31 +210,55 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 	// store's generation. reg is assigned below, before any store can
 	// exist — the factory only runs on a live server's first update.
 	var reg *registry.Registry
-	stores := dynamic.NewStores(func(ctx context.Context, key EngineKey) (*dynamic.Store, error) {
+	// validateStoreKey front-runs every store path (first update,
+	// state-transfer install, recovery). Only BBST has a mutable form:
+	// the other algorithms are the paper's static baselines, so their
+	// keys refuse updates (400 bad_key) while their static draws keep
+	// working.
+	validateStoreKey := func(key EngineKey) error {
 		if err := validateKey(key); err != nil {
+			return err
+		}
+		if key.Algorithm != string(BBST) {
+			return fmt.Errorf("%w: algorithm %q serves static draws only; updates need %q",
+				server.ErrBadKey, key.Algorithm, BBST)
+		}
+		return nil
+	}
+	// newKeyStore builds a validated key's store over R and S at
+	// (gen, lastID). Every generation bump — an Apply, or a background
+	// rebuild swap that no handler observes — drops the registry
+	// engines it just made stale, so a rebuild cannot strand a whole
+	// old base in the cache until the next update arrives.
+	newKeyStore := func(key EngineKey, R, S []Point, gen, lastID uint64) (*dynamic.Store, error) {
+		st, err := NewStore(R, S, key.L, &StoreOptions{
+			Seed:               key.Seed,
+			MaxT:               o.MaxT,
+			initialGeneration:  gen,
+			initialLastApplied: lastID,
+		})
+		if err != nil {
+			return nil, err
+		}
+		st.st.SetOnGeneration(func(gen uint64) {
+			stale := key
+			stale.Generation = gen
+			reg.EvictOlder(stale)
+		})
+		return st.st, nil
+	}
+	stores := dynamic.NewStores(func(ctx context.Context, key EngineKey) (*dynamic.Store, error) {
+		if err := validateStoreKey(key); err != nil {
 			return nil, err
 		}
 		R, S, err := o.Datasets(key.Dataset)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", server.ErrBadKey, err)
 		}
-		st, err := NewStore(R, S, key.L, &StoreOptions{
-			Algorithm: Algorithm(key.Algorithm),
-			Seed:      key.Seed,
-			MaxT:      o.MaxT,
-		})
+		st, err := newKeyStore(key, R, S, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		// Every generation bump — an Apply, or a background rebuild
-		// swap that no handler observes — drops the registry engines
-		// it just made stale, so a rebuild cannot strand a whole old
-		// base in the cache until the next update arrives.
-		st.st.SetOnGeneration(func(gen uint64) {
-			stale := key
-			stale.Generation = gen
-			reg.EvictOlder(stale)
-		})
 		if mgr != nil {
 			// A brand-new key (recovered keys never reach the factory —
 			// they are adopted below before the server serves) gets a
@@ -243,9 +267,9 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.st.SetPersister(ds)
+			st.SetPersister(ds)
 		}
-		return st.st, nil
+		return st, nil
 	})
 	build := func(ctx context.Context, key EngineKey) (*engine.Engine, error) {
 		if key.Generation != 0 {
@@ -297,7 +321,10 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return nil, err
 		}
 		for _, key := range keys {
-			if err := recoverDataset(mgr, stores, reg, key, &o); err != nil {
+			if err := validateStoreKey(key); err != nil {
+				return nil, fmt.Errorf("srj: recovering %s from %s: %w", key, o.DataDir, err)
+			}
+			if err := recoverDataset(mgr, stores, key, o.Datasets, newKeyStore); err != nil {
 				return nil, fmt.Errorf("srj: recovering %s from %s: %w", key, o.DataDir, err)
 			}
 		}
@@ -309,7 +336,7 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 	// sequenced broadcast applies here gap-free.
 	installStore := func(ctx context.Context, dump server.SnapshotDump) error {
 		key := dump.Key()
-		if err := validateKey(key); err != nil {
+		if err := validateStoreKey(key); err != nil {
 			return err
 		}
 		if st, ok := stores.Lookup(key); ok {
@@ -324,21 +351,10 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			return fmt.Errorf("%w: store for %s is live at update %d, cannot install at %d",
 				dynamic.ErrUpdateSequence, key, st.LastApplied(), dump.LastAppliedID)
 		}
-		st, err := NewStore(dump.R, dump.S, key.L, &StoreOptions{
-			Algorithm:          Algorithm(key.Algorithm),
-			Seed:               key.Seed,
-			MaxT:               o.MaxT,
-			initialGeneration:  dump.Generation,
-			initialLastApplied: dump.LastAppliedID,
-		})
+		st, err := newKeyStore(key, dump.R, dump.S, dump.Generation, dump.LastAppliedID)
 		if err != nil {
 			return err
 		}
-		st.st.SetOnGeneration(func(gen uint64) {
-			stale := key
-			stale.Generation = gen
-			reg.EvictOlder(stale)
-		})
 		if mgr != nil {
 			ds, err := mgr.Open(key)
 			if err != nil {
@@ -350,9 +366,9 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 			if err := ds.Snapshot(dump.Generation, dump.LastAppliedID, dump.R, dump.S); err != nil {
 				return err
 			}
-			st.st.SetPersister(ds)
+			st.SetPersister(ds)
 		}
-		if err := stores.Adopt(key, st.st); err != nil {
+		if err := stores.Adopt(key, st); err != nil {
 			// A concurrent install (or first update) won the race;
 			// re-check whether what landed already covers this dump.
 			if live, ok := stores.Lookup(key); ok && live.LastApplied() >= dump.LastAppliedID {
@@ -384,7 +400,8 @@ func NewServer(opts *ServerOptions) (*Server, error) {
 // resumed past the snapshot's, then every logged update after the
 // snapshot replayed in ID order. The recovered store is adopted into
 // the stores map so the factory never rebuilds this key from seed.
-func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Registry, key EngineKey, o *ServerOptions) error {
+func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, key EngineKey, datasets func(string) (R, S []Point, err error),
+	newKeyStore func(key EngineKey, R, S []Point, gen, lastID uint64) (*dynamic.Store, error)) error {
 	ds, err := mgr.Open(key)
 	if err != nil {
 		return err
@@ -398,17 +415,11 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Regi
 		// No snapshot yet: the log holds every update since the seed
 		// base, so recovery starts from the same resolver data the
 		// original store was bulk-built over.
-		if R, S, err = o.Datasets(key.Dataset); err != nil {
+		if R, S, err = datasets(key.Dataset); err != nil {
 			return err
 		}
 	}
-	st, err := NewStore(R, S, key.L, &StoreOptions{
-		Algorithm:          Algorithm(key.Algorithm),
-		Seed:               key.Seed,
-		MaxT:               o.MaxT,
-		initialGeneration:  snap.Generation,
-		initialLastApplied: snap.LastID,
-	})
+	st, err := newKeyStore(key, R, S, snap.Generation, snap.LastID)
 	if err != nil {
 		return err
 	}
@@ -419,19 +430,13 @@ func recoverDataset(mgr *wal.Manager, stores *dynamic.Stores, reg *registry.Regi
 	}); err != nil {
 		return err
 	}
-	if err := st.st.Replay(recs); err != nil {
+	if err := st.Replay(recs); err != nil {
 		return err
 	}
-	// Hooks attach after replay: replayed records must not be
-	// re-appended to the log they came from, and no engine can be
-	// cached for this key before the store exists.
-	st.st.SetOnGeneration(func(gen uint64) {
-		stale := key
-		stale.Generation = gen
-		reg.EvictOlder(stale)
-	})
-	st.st.SetPersister(ds)
-	return stores.Adopt(key, st.st)
+	// The persister attaches after replay: replayed records must not
+	// be re-appended to the log they came from.
+	st.SetPersister(ds)
+	return stores.Adopt(key, st)
 }
 
 // shutdownSnapshotTimeout bounds the shutdown snapshots of Close —

@@ -6,8 +6,12 @@ package srj
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 func newTestServer(t *testing.T, opts *ServerOptions) (*Server, *Client, func()) {
@@ -196,5 +200,59 @@ func TestPublicServerCustomDatasets(t *testing.T) {
 	// The default generators must NOT be reachable.
 	if _, err := cl.Sample(ctx, SampleRequest{Dataset: "uniform", L: 300, T: 10}); err == nil {
 		t.Fatal("custom resolver fell through to built-ins")
+	}
+}
+
+// TestPublicServerRefusesStaticBaselineUpdates: only BBST datasets are
+// mutable. POST /v1/update on a key of a static baseline answers 400
+// bad_key without creating a store, and that key's static draws keep
+// working.
+func TestPublicServerRefusesStaticBaselineUpdates(t *testing.T) {
+	s, cl, done := newTestServer(t, &ServerOptions{DatasetSize: 2000, MaxT: 10_000})
+	defer done()
+	ctx := context.Background()
+	key := EngineKey{Dataset: "uniform", L: 200, Algorithm: string(KDS), Seed: 4}
+	_, err := cl.Bind(key).Apply(ctx, Update{InsertR: []Point{{ID: 90_000, X: 1, Y: 1}}})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_key" {
+		t.Fatalf("update on a kds key: %v, want 400 bad_key", err)
+	}
+	if n := len(s.stores.Infos()); n != 0 {
+		t.Fatalf("refused update left %d stores", n)
+	}
+	res, err := cl.Bind(key).Draw(ctx, Request{T: 500, Seed: 9})
+	if err != nil || len(res.Pairs) != 500 {
+		t.Fatalf("static kds draw after the refused update: %d pairs, %v", len(res.Pairs), err)
+	}
+	for _, p := range res.Pairs {
+		if !Window(p.R, key.L).Contains(p.S) {
+			t.Fatalf("invalid pair %v", p)
+		}
+	}
+}
+
+// TestPublicServerRefusesStaticBaselineRecovery: a data dir holding a
+// write-ahead log for a static baseline's key has no mutable form to
+// recover into, so startup fails loudly instead of serving without it.
+func TestPublicServerRefusesStaticBaselineRecovery(t *testing.T) {
+	dir := t.TempDir()
+	key := EngineKey{Dataset: "uniform", L: 200, Algorithm: string(RTS), Seed: 4}
+	mgr, err := wal.OpenManager(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := mgr.Open(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Append(1, Update{InsertR: []Point{{ID: 90_000, X: 1, Y: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewServer(&ServerOptions{DatasetSize: 500, DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), string(RTS)) {
+		t.Fatalf("NewServer over an rts log: %v, want a recovery error naming the algorithm", err)
 	}
 }

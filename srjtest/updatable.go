@@ -9,10 +9,11 @@ package srjtest
 // never a deleted pair, reproducible seeds within one generation,
 // and a generation bump visible after every non-empty Apply.
 //
-// Scripted updates stay well under the default compaction threshold
-// (25% of the base point count) so no background rebuild races the
-// subtests' draws — determinism within a generation is exactly what
-// the contract promises, and a rebuild bumps the generation.
+// Scripted updates keep the live point count near the base's, far
+// inside the range the skew escape hatch tolerates, so no background
+// rebuild races the subtests' draws — determinism within a generation
+// is exactly what the contract promises, and a rebuild bumps the
+// generation.
 
 import (
 	"context"
@@ -461,7 +462,7 @@ func RunUpdatableConformance(t *testing.T, newUpdatable MakeUpdatable, opts ...U
 						t.Fatalf("deleted pair (%d,%d) resurrected by restart", p.R.ID, p.S.ID)
 					}
 					if p.R.ID == 8801 {
-						t.Fatal("tombstoned insert 8801 resurrected by restart")
+						t.Fatal("deleted insert 8801 resurrected by restart")
 					}
 					if p.R.ID == 8800 {
 						sawInsert = true

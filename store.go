@@ -2,20 +2,19 @@ package srj
 
 // The mutable-dataset surface. A Sampler and an Engine are bulk-built
 // over immutable R and S; a Store is the same amortization argument
-// made mutable: the bulk-built base keeps serving while inserts and
-// deletes accumulate in LSM-style per-side delta buffers, sampling
-// draws from a weighted mixture over {base, delta} join components
-// (uniform over the *live* join — see internal/dynamic), and a
-// background compaction folds the deltas into a fresh base when they
-// grow past a threshold. Every applied batch bumps the dataset's
+// made mutable. It serves the bulk-built BBST structures until the
+// first Apply converts them once into an incrementally-maintained
+// index; from then on every batch edits that index copy-on-write in
+// Õ(ops), and draws stay uniform over the *live* join (see
+// internal/dynamic). Every applied batch bumps the dataset's
 // generation number, which is what invalidates caches across the
 // serving stack: srjserver keys its engine registry by generation,
 // and the shard router broadcasts updates so every shard advances
-// together.
+// together. Only BBST has a mutable form: the other algorithms are
+// the paper's static baselines and serve static draws only.
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -38,33 +37,24 @@ type Update = dynamic.Update
 // current generation.
 var ErrStaleGeneration = dynamic.ErrStaleGeneration
 
-// StoreOptions tunes a Store; the zero value (or nil) uses the BBST
-// algorithm with seed 0 and the default compaction threshold.
+// StoreOptions tunes a Store's BBST structures; the zero value (or
+// nil) uses seed 0 and the default tuning.
 type StoreOptions struct {
-	// Algorithm selects the base sampler; empty means BBST. The
-	// algorithm must support engine serving and per-trial sampling
-	// (all do except KDSRejection).
-	Algorithm Algorithm
-	// Seed drives the serving pools and delta samplers; equal seeds
+	// Seed drives the structures and the serving pools; equal seeds
 	// make equal-seeded draws reproducible within one generation.
 	Seed uint64
 	// MaxRejects bounds consecutive rejected sampling iterations
-	// (0 = default budget). Deletes consume acceptance until the next
-	// compaction, so a store kept far past its threshold degrades
-	// toward ErrLowAcceptance instead of ever serving deleted points.
+	// (0 = default budget).
 	MaxRejects int
-	// FractionalCascading and BucketCap tune the BBST base exactly as
-	// in Options.
+	// FractionalCascading and BucketCap tune the BBST structures
+	// exactly as in Options.
 	FractionalCascading bool
 	BucketCap           int
 	// MaxT caps the samples one request may ask for (0 = unlimited),
 	// like Engine.SetMaxT.
 	MaxT int
-	// RebuildFraction is the delta fraction (buffered ops over base
-	// points) that triggers a background compaction; <= 0 means
-	// dynamic.DefaultRebuildFraction (0.25).
-	RebuildFraction float64
-	// DisableAutoRebuild suppresses threshold-triggered compactions;
+	// DisableAutoRebuild suppresses the background rebuild that fires
+	// when the live point count drifts far from the bulk build's;
 	// Compact still works on demand.
 	DisableAutoRebuild bool
 
@@ -84,48 +74,32 @@ type Store struct {
 	st *dynamic.Store
 }
 
-// NewStore validates R and S, bulk-builds the chosen algorithm's base
-// structures, and returns a Store serving them at generation 0.
-// Unlike NewEngine, empty inputs (even a provably empty join) are
-// accepted: a mutable dataset may start empty and be filled through
-// Apply, with Draw answering ErrEmptyJoin until it is. The slices are
-// not copied and must not be mutated afterwards — all mutation goes
-// through Apply, which never touches them.
+// NewStore validates R and S, bulk-builds the BBST structures, and
+// returns a Store serving them at generation 0. Unlike NewEngine,
+// empty inputs (even a provably empty join) are accepted: a mutable
+// dataset may start empty and be filled through Apply, with Draw
+// answering ErrEmptyJoin until it is. The slices are not copied and
+// must not be mutated afterwards — all mutation goes through Apply,
+// which never touches them.
 func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 	var o StoreOptions
 	if opts != nil {
 		o = *opts
 	}
-	algo := o.Algorithm
-	if algo == "" {
-		algo = BBST
-	}
-	base := &Options{
-		Algorithm:           algo,
+	cfg := core.Config{
+		HalfExtent:          l,
 		Seed:                o.Seed,
 		MaxRejects:          o.MaxRejects,
 		FractionalCascading: o.FractionalCascading,
 		BucketCap:           o.BucketCap,
 	}
 	st, err := dynamic.NewStore(R, S, dynamic.Config{
-		BuildBase: func(R, S []Point) (core.Cloner, error) {
-			s, err := NewSampler(R, S, l, base)
-			if err != nil {
-				return nil, err
-			}
-			c, ok := s.(core.Cloner)
-			if !ok {
-				return nil, fmt.Errorf("srj: algorithm %s does not support dynamic serving", s.Name())
-			}
-			return c, nil
+		BuildBase: func(R, S []Point) (*core.BBSTSampler, error) {
+			return core.NewBBST(R, S, cfg)
 		},
-		HalfExtent:         l,
 		Seed:               o.Seed,
-		MaxRejects:         o.MaxRejects,
 		MaxT:               o.MaxT,
-		RebuildFraction:    o.RebuildFraction,
 		DisableAutoRebuild: o.DisableAutoRebuild,
-		Name:               "dynamic+" + string(algo),
 		InitialGeneration:  o.initialGeneration,
 		InitialLastApplied: o.initialLastApplied,
 	})
@@ -138,9 +112,9 @@ func NewStore(R, S []Point, l float64, opts *StoreOptions) (*Store, error) {
 // Apply absorbs one batch of mutations and returns the new dataset
 // generation. Batches serialize; draws in flight keep serving the
 // snapshot they started on. An empty update returns the current
-// generation without bumping it. Crossing the compaction threshold
-// schedules a background base rebuild — Apply itself never pays a
-// bulk build.
+// generation without bumping it. Apply edits the index in place in
+// Õ(ops) and never pays a bulk build; the first Apply after a build
+// pays the one-time conversion into the maintained index.
 func (s *Store) Apply(ctx context.Context, u Update) (uint64, error) {
 	return s.st.Apply(ctx, u)
 }
@@ -168,25 +142,20 @@ func (s *Store) Bind() Source { return s }
 // compaction.
 func (s *Store) Generation() uint64 { return s.st.Generation() }
 
-// Compact folds the current state — buffered deltas, or the in-place
-// maintained index — into a fresh bulk build now and waits for the
-// swap. On the in-place path this is the only planned rebuild; the
-// overlay fallback also rebuilds in the background when its delta
-// fraction crosses RebuildFraction.
+// Compact folds the in-place maintained index into a fresh bulk build
+// now and waits for the swap — the only planned rebuild (the other is
+// the background one when the live point count drifts far from the
+// bulk build's).
 func (s *Store) Compact(ctx context.Context) error { return s.st.Compact(ctx) }
-
-// Pending reports the buffered mutation count awaiting compaction
-// (always 0 on the in-place maintenance path, which buffers nothing).
-func (s *Store) Pending() int { return s.st.Pending() }
 
 // InPlaceOps reports how many operations were absorbed by in-place
 // index maintenance — the Õ(ops) write path that edits the live
-// structures copy-on-write instead of buffering toward a rebuild.
+// structures copy-on-write.
 func (s *Store) InPlaceOps() uint64 { return s.st.InPlaceOps() }
 
 // Rebuilds reports how many base rebuilds have swapped in. In steady
-// churn on the in-place path it stays 0: rebuilds happen only on
-// Compact or when dataset geometry drifts far from the bulk build.
+// churn it stays 0: rebuilds happen only on Compact or when dataset
+// geometry drifts far from the bulk build.
 func (s *Store) Rebuilds() uint64 { return s.st.Rebuilds() }
 
 // Stats aggregates serving counters across all generations served so

@@ -255,8 +255,8 @@ func TestStorePropertyAgainstOracle(t *testing.T) {
 			if err := st.Compact(ctx); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
-			if n := st.Pending(); n != 0 {
-				t.Fatalf("pending %d after compact", n)
+			if n := st.Rebuilds(); n != 1 {
+				t.Fatalf("rebuilds = %d after compact, want 1", n)
 			}
 			checkStep(step)
 		}
